@@ -196,7 +196,7 @@ func run(ctx context.Context, cfg config, ready chan<- string, errw io.Writer) e
 		ready <- ln.Addr().String()
 	}
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(cfg, srv.Handler())
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 
@@ -226,6 +226,38 @@ func run(ctx context.Context, cfg config, ready chan<- string, errw io.Writer) e
 	}
 	fmt.Fprintln(errw, "ecrpqd: drained")
 	return nil
+}
+
+// HTTP connection timeouts of the daemon. Request headers and bodies
+// (query text, write batches up to 1 MiB) must arrive within
+// readTimeout; a response may take up to -max-timeout, the longest
+// deadline an evaluation can get, plus writeMargin for admission
+// queueing and encoding. Idle keep-alive connections are kept for
+// idleTimeout: a client cannot replay a non-idempotent request (PUT,
+// POST) on a connection the server closed under it, so a short idle
+// timeout would surface as failed requests.
+const (
+	readTimeout = 10 * time.Second
+	writeMargin = 10 * time.Second
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the daemon's http.Server, with every
+// connection timeout set so a slow or stalled client cannot hold a
+// connection (and its goroutine) forever. A zero cfg.maxTimeout stands
+// for the server's 30 s default clamp.
+func newHTTPServer(cfg config, h http.Handler) *http.Server {
+	maxTimeout := cfg.maxTimeout
+	if maxTimeout <= 0 {
+		maxTimeout = 30 * time.Second
+	}
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      maxTimeout + writeMargin,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // openStore builds the daemon's store: a durable OpenDir store when

@@ -200,3 +200,29 @@ func TestDaemonBadGraphFile(t *testing.T) {
 	}
 }
 
+// TestNewHTTPServerTimeouts: the daemon's http.Server bounds every
+// connection phase. Reads get a fixed window, a response may take the
+// longest request deadline plus the margin, and idle keep-alive
+// connections live long enough for clients that reuse them.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	for _, tc := range []struct {
+		maxTimeout, wantWrite time.Duration
+	}{
+		{5 * time.Second, 5*time.Second + writeMargin},
+		{time.Minute, time.Minute + writeMargin},
+		{0, 30*time.Second + writeMargin}, // server default clamp
+	} {
+		hs := newHTTPServer(config{maxTimeout: tc.maxTimeout}, h)
+		if hs.ReadHeaderTimeout != 10*time.Second || hs.ReadTimeout != 10*time.Second {
+			t.Errorf("max-timeout %v: read timeouts = %v/%v, want 10s",
+				tc.maxTimeout, hs.ReadHeaderTimeout, hs.ReadTimeout)
+		}
+		if hs.WriteTimeout != tc.wantWrite {
+			t.Errorf("max-timeout %v: WriteTimeout = %v, want %v", tc.maxTimeout, hs.WriteTimeout, tc.wantWrite)
+		}
+		if hs.IdleTimeout < 2*time.Minute {
+			t.Errorf("IdleTimeout = %v, want >= 2m", hs.IdleTimeout)
+		}
+	}
+}

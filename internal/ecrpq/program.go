@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/intern"
@@ -36,6 +37,8 @@ import (
 // Programs subsume the per-query engine cache that Eval used to keep:
 // the Eval shim now compiles (or re-uses) a Program per query object.
 type Program struct {
+	// id is the process-unique identity of this compilation (see ID).
+	id         uint64
 	q          *Query
 	monolithic bool
 	noClasses  bool
@@ -79,6 +82,9 @@ type enginePool struct {
 // engines returned from bursts of concurrency are dropped.
 const maxPooledEngines = 8
 
+// programIDs numbers compilations process-wide; see Program.ID.
+var programIDs atomic.Uint64
+
 // CompileProgram compiles q into an executable Program. With monolithic
 // set the component decomposition is disabled and the full m-tape
 // product is compiled (the Options.NoDecompose ablation). Components
@@ -112,6 +118,7 @@ func compileProgram(q *Query, monolithic, noClasses bool) (*Program, error) {
 		keepPaths[chi] = true
 	}
 	p := &Program{
+		id:         programIDs.Add(1),
 		q:          q,
 		monolithic: monolithic,
 		noClasses:  noClasses,
@@ -185,6 +192,11 @@ func (p *Program) valid(q *Query, monolithic, noClasses bool) bool {
 	}
 	return true
 }
+
+// ID returns the program's process-unique identity, assigned at
+// compile time and never reused. It names the program in result-cache
+// keys without keeping the program alive.
+func (p *Program) ID() uint64 { return p.id }
 
 // NumComponents returns the number of connected components of the
 // relation hypergraph the program evaluates (1 when monolithic).

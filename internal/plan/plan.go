@@ -123,9 +123,10 @@ func (p *Plan) EvalSnapshot(ctx context.Context, s *graph.Snapshot, opts ecrpq.O
 }
 
 // EvalSnapshotCached is EvalSnapshot through an epoch-keyed result
-// cache: the cache key is the plan's compiled program (immutable, so
-// pointer identity is a sound fingerprint), the snapshot's
-// (Source, Epoch) content identity, and the canonicalized options.
+// cache: the cache key is the plan's compiled program id (see
+// ProgramID; cached entries do not keep the program alive), the
+// snapshot's (Source, Epoch) content identity, and the canonicalized
+// options.
 // Concurrent identical calls are deduplicated to one evaluation by the
 // cache's single-flight admission, and entries of epochs the store has
 // moved past are dropped as newer snapshots are served.
@@ -152,7 +153,7 @@ func (p *Plan) EvalSnapshotCached(ctx context.Context, s *graph.Snapshot, opts e
 		res, err := p.prog.EvalSnapshot(ctx, s, opts)
 		return res, false, err
 	}
-	k := qcache.Key{Prog: p.prog, Source: s.Source(), Epoch: s.Epoch(), Opts: opts.CacheKey()}
+	k := p.CacheKeyFor(s, opts)
 	v, served, err := c.DoServe(ctx, k, func() (any, int64, qcache.Served, error) {
 		if opts.NoAdvance {
 			res, err := p.prog.EvalSnapshot(ctx, s, opts)
@@ -198,8 +199,15 @@ func (p *Plan) EvalCached(ctx context.Context, g *graph.DB, opts ecrpq.Options, 
 // evaluation against s with opts — the hook for degraded lookups
 // (Cache.Stale) and cache introspection outside the Do path.
 func (p *Plan) CacheKeyFor(s *graph.Snapshot, opts ecrpq.Options) qcache.Key {
-	return qcache.Key{Prog: p.prog, Source: s.Source(), Epoch: s.Epoch(), Opts: opts.CacheKey()}
+	return qcache.Key{Prog: p.prog.ID(), Source: s.Source(), Epoch: s.Epoch(), Opts: opts.CacheKey()}
 }
+
+// ProgramID returns the id of the plan's compiled program, the Prog
+// half of its result-cache keys. A caller that retires the plan for
+// good passes it to qcache.Cache.Forget to release the plan's entries.
+// Plans built by Cached share the program of their query object, and
+// so its id.
+func (p *Plan) ProgramID() uint64 { return p.prog.ID() }
 
 // StaleSnapshot is the degraded serving path: it returns the freshest
 // cached result for this plan's (options, store) at an epoch within

@@ -25,6 +25,9 @@
 //     revalidation seed (Prev) until a newer entry of its group is
 //     admitted. (Entries for other stores are untouched; a pinned old
 //     snapshot can still be served, it just re-evaluates.)
+//   - Forget on program retirement: a caller that replaces a program
+//     for good drops all of its entries at once, since no later
+//     request can name them.
 //
 // Values are shared between all callers that hit one entry: they must
 // be treated as immutable. The cache itself is safe for concurrent use.
@@ -42,10 +45,12 @@ import (
 
 // Key identifies one cached evaluation.
 type Key struct {
-	// Prog is the comparable identity of the compiled program (the
-	// *ecrpq.Program pointer in the serving path). Programs are immutable
-	// after compilation, so pointer identity is a sound fingerprint.
-	Prog any
+	// Prog is the process-unique id of the compiled program
+	// (ecrpq.Program.ID in the serving path). Programs are immutable
+	// after compilation, so the id is a sound fingerprint, and unlike
+	// the pointer it does not keep a dropped program alive: an entry
+	// retains only its value.
+	Prog uint64
 	// Source and Epoch name the immutable graph state (graph.Snapshot
 	// Source/Epoch): epochs are monotonic per source store, so the pair
 	// never renames content.
@@ -113,6 +118,9 @@ type Stats struct {
 	Waits uint64
 	// Evictions counts entries dropped by the LRU byte budget.
 	Evictions uint64
+	// Forgotten counts entries dropped by Forget because their program
+	// was retired (not counted in Evictions).
+	Forgotten uint64
 	// DeadDropped counts entries dropped because their epoch died (a
 	// newer snapshot of their source store was seen, beyond the stale
 	// lag window).
@@ -501,6 +509,27 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.bytes -= e.size
+}
+
+// Forget drops every stored entry of program prog — exact-epoch
+// entries, revalidation seeds and stale-window entries alike — and
+// releases their budget. Callers use it when they retire a program no
+// request can name again (a registry entry replaced by a recompiled
+// query), so its entries stop holding budget the LRU would only age
+// out later. Flights in progress are unaffected: a flight of prog
+// that finishes after Forget still admits its value, which then ages
+// out through the LRU like any entry that is never hit again.
+func (c *Cache) Forget(prog uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var next *list.Element
+	for el := c.lru.Front(); el != nil; el = next {
+		next = el.Next()
+		if el.Value.(*entry).key.Prog == prog {
+			c.removeLocked(el)
+			c.stats.Forgotten++
+		}
+	}
 }
 
 // Invalidate drops every entry (flights in progress are unaffected and

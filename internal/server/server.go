@@ -237,7 +237,16 @@ func (s *Server) Handler() http.Handler {
 
 // Register compiles text under the server's environment and installs it
 // in the registry under name, replacing any previous entry atomically.
+// Text byte-identical to the current entry keeps that entry, so a
+// repeated config push does not throw away warm results. A replaced
+// plan's cached results are forgotten: its program is unreachable to
+// later requests. A request still running on the replaced plan may
+// admit one more result after the Forget; that entry holds only its
+// Result and ages out through the LRU.
 func (s *Server) Register(name, text string) error {
+	if cur, ok := s.lookup(name); ok && cur.text == text {
+		return nil
+	}
 	q, err := ecrpq.Parse(text, s.cfg.Env)
 	if err != nil {
 		return err
@@ -247,8 +256,12 @@ func (s *Server) Register(name, text string) error {
 		return err
 	}
 	s.mu.Lock()
+	old, replaced := s.queries[name]
 	s.queries[name] = &prepared{text: text, plan: p}
 	s.mu.Unlock()
+	if replaced {
+		s.cfg.Cache.Forget(old.plan.ProgramID())
+	}
 	return nil
 }
 
